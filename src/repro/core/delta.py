@@ -65,13 +65,9 @@ from ..plan.logical import (
     SubquerySpec,
     Window,
 )
-from ..storage.colstore.prune import (
-    chunk_decisions,
-    match_uncertain_comparison,
-    pruned_filter_mask,
-)
-from ..storage.table import Schema, Table
-from .classify import IntervalEnv, interval_eval, tri_eval
+from ..storage.colstore.prune import chunk_decisions, pruned_filter_mask
+from ..storage.table import ArrayTable, Schema, Table
+from .classify import IntervalEnv, tri_compare, tri_eval, tri_eval_ranged
 from .lineage import lineage_columns
 from .uncertain import (
     TRI_FALSE,
@@ -388,12 +384,12 @@ class _DecisionGuard:
         g = len(self.max_true)
         state = slot_states[self.slot]
         if self.correlation_name is None:
-            pseudo = _ArrayTable({}, 1)
+            pseudo = ArrayTable({}, 1)
         else:
             keys = np.array(state.index.keys())
             if len(keys) == 0:
                 return True
-            pseudo = _ArrayTable({self.correlation_name: keys}, len(keys))
+            pseudo = ArrayTable({self.correlation_name: keys}, len(keys))
         # Bind the slot's point values locally so the check is
         # self-contained (callers need not pre-bind the environment).
         env = Environment(functions=ienv.point.functions)
@@ -404,19 +400,16 @@ class _DecisionGuard:
             side = np.full(pseudo.num_rows, float(side))
         n = min(g, len(side))
         point = side[:n]
+        # Folded certain values span [min, max]; the folds stay valid
+        # while that span still decides the same way against the point.
         with np.errstate(invalid="ignore"):
-            if self.op == "<":
-                ok_true = self.max_true[:n] < point
-                ok_false = self.min_false[:n] >= point
-            elif self.op == "<=":
-                ok_true = self.max_true[:n] <= point
-                ok_false = self.min_false[:n] > point
-            elif self.op == ">":
-                ok_true = self.min_true[:n] > point
-                ok_false = self.max_false[:n] <= point
-            else:  # ">="
-                ok_true = self.min_true[:n] >= point
-                ok_false = self.max_false[:n] < point
+            ok_true = tri_compare(
+                self.op, self.min_true[:n], self.max_true[:n], point, point
+            ) == TRI_TRUE
+            ok_false = tri_compare(
+                self.op, self.min_false[:n], self.max_false[:n], point,
+                point,
+            ) == TRI_FALSE
         # Vacuous where no fold happened (extremes still at +-inf);
         # groups with no point value yet (NaN side) can have no folds.
         ok_true |= np.isneginf(self.max_true[:n]) \
@@ -998,32 +991,19 @@ class BlockRuntime:
     def _tri_eval_pruned(self, predicate: Expression,
                          candidates: CachedRows, cached_in: int,
                          zones, ienv: IntervalEnv) -> np.ndarray:
-        """Tri-state classification, skipping chunks zone maps decide.
+        """Tri-state classification, filling zone-decided chunks wholesale.
 
-        For a simple ``column <op> uncertain`` predicate, a chunk whose
-        zone interval is entirely on one side of the uncertain value's
-        current variation range classifies every row in it identically
-        — and to exactly the value per-row :func:`tri_eval` would
-        produce (the chunk interval contains each row's degenerate
-        interval, and ``_tri_compare`` is monotone under interval
-        containment).  Those rows are filled wholesale; only cached
-        rows and rows of undecided chunks are evaluated per row, so
-        the resulting classification — and every fold, guard
-        commitment and uncertain-set decision downstream — is
+        :func:`chunk_decisions` runs the classifier's own walk over the
+        incoming rows' zone maps.  A chunk it decides TRUE or FALSE holds
+        that verdict for exactly the rows per-row :func:`tri_eval` would
+        give it, so only cached rows and rows of undecided chunks are
+        classified per row, and the resulting classification — and every
+        fold, guard commitment and uncertain-set decision downstream — is
         bit-identical to the unpruned path.
         """
         table = candidates.table
-        if zones is None:
-            return tri_eval(predicate, table, ienv)
-        matched = match_uncertain_comparison(predicate)
-        if matched is None:
-            return tri_eval(predicate, table, ienv)
-        col, op, unc_side = matched
-        lo, hi = interval_eval(unc_side, _ArrayTable({}, 1), ienv)
-        lo = np.asarray(lo, dtype=np.float64).reshape(-1)
-        hi = np.asarray(hi, dtype=np.float64).reshape(-1)
-        decisions = chunk_decisions(zones, col, op,
-                                    float(lo[0]), float(hi[0]))
+        decisions = (None if zones is None
+                     else chunk_decisions(predicate, zones, ienv))
         if decisions is None or bool((decisions == TRI_UNKNOWN).all()):
             return tri_eval(predicate, table, ienv)
         n_in = zones.num_rows
@@ -1305,7 +1285,7 @@ class BlockRuntime:
 
         if spec.kind in ("scalar", "keyed"):
             value_expr = self._project_expr(spec.value_column)
-            point_table = _ArrayTable(point_cols, num_groups)
+            point_table = ArrayTable(point_cols, num_groups)
             point_vals = np.asarray(
                 value_expr.evaluate(point_table, penv), dtype=np.float64
             )
@@ -1355,7 +1335,7 @@ class BlockRuntime:
                 for k, ok in zip(keys.tolist(), present_keys)
             }
         else:
-            point_table = _ArrayTable(point_cols, num_groups)
+            point_table = ArrayTable(point_cols, num_groups)
             point_mask = np.broadcast_to(
                 np.asarray(having.evaluate(point_table, penv), dtype=bool),
                 (num_groups,),
@@ -1363,18 +1343,15 @@ class BlockRuntime:
             point_members = set(
                 keys[point_mask[: len(keys)] & present_keys].tolist()
             )
-            lows_cols = {}
-            highs_cols = {}
-            for alias, matrix in replicas.items():
-                lo, hi = ranges_from_replica_matrix(
+            ranged = {
+                alias: ranges_from_replica_matrix(
                     estimates[alias], matrix, self.config.epsilon_multiplier
                 )
-                lows_cols[alias] = lo
-                highs_cols[alias] = hi
-            tri = _tri_eval_with_column_intervals(
-                having, point_cols, lows_cols, highs_cols, num_groups,
-                slot_states, penv,
-            )
+                for alias, matrix in replicas.items()
+            }
+            tri = tri_eval_ranged(having, point_table, IntervalEnv(
+                slots=slot_states, point=penv, ranged=ranged,
+            ))
             tri_status = {
                 k: (int(t) if ok else int(TRI_UNKNOWN))
                 for k, t, ok in zip(keys.tolist(), tri.tolist(), present_keys)
@@ -1400,7 +1377,7 @@ class BlockRuntime:
         group_cols = self._group_key_columns(num_groups)
         point_cols = dict(estimates)
         point_cols.update(group_cols)
-        point_table = _ArrayTable(point_cols, num_groups)
+        point_table = ArrayTable(point_cols, num_groups)
 
         # Grouped queries emit only groups with qualifying data; a global
         # aggregate always emits its single row (SQL semantics).
@@ -1529,19 +1506,6 @@ class BlockRuntime:
         return env
 
 
-class _ArrayTable:
-    """Minimal table adapter over plain 1-D arrays for point evaluation."""
-
-    def __init__(self, columns: Dict[str, np.ndarray], num_rows: int):
-        self._columns = columns
-        self.num_rows = num_rows
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self._columns:
-            raise ExecutionError(f"unknown column {name!r}")
-        return self._columns[name]
-
-
 def _key_rows(table: Table, names: Sequence[str]) -> List:
     if len(names) == 1:
         return table.column(names[0]).tolist()
@@ -1580,96 +1544,3 @@ def _find_in_subqueries(expr: Expression) -> List[InSubquery]:
     for child in expr.children():
         out.extend(_find_in_subqueries(child))
     return out
-
-
-def _tri_eval_with_column_intervals(expr, point_cols, lows, highs,
-                                    num_groups, slot_states, penv):
-    """Three-valued evaluation where some columns are intervals.
-
-    A thin recursion mirroring :func:`repro.core.classify.tri_eval` but
-    sourcing per-column intervals from the block's replica ranges.
-    """
-    from ..expr.expressions import (
-        Between as _Between,
-        BooleanOp as _BooleanOp,
-        Comparison as _Comparison,
-    )
-    from .classify import IntervalEnv as _IEnv, _tri_compare
-
-    ienv = _IEnv(slots=slot_states, point=penv)
-    table = _ArrayTable(point_cols, num_groups)
-
-    def col_interval(e):
-        """Interval of an expression over interval-valued columns."""
-        from ..expr.expressions import (
-            BinaryOp as _BinaryOp,
-            ColumnRef as _ColumnRef,
-            Literal as _Literal,
-            Negate as _Negate,
-            SubqueryRef as _SubqueryRef,
-        )
-
-        if isinstance(e, _ColumnRef):
-            if e.name in lows:
-                return lows[e.name], highs[e.name]
-            v = np.asarray(point_cols[e.name], dtype=np.float64)
-            return v, v
-        if isinstance(e, _Literal):
-            v = np.full(num_groups, float(e.value))
-            return v, v
-        if isinstance(e, _SubqueryRef):
-            state = slot_states[e.slot]
-            if isinstance(state, ScalarSlotState):
-                return (np.full(num_groups, state.vrange.low),
-                        np.full(num_groups, state.vrange.high))
-            raise ExecutionError("keyed slots in HAVING are unsupported")
-        if isinstance(e, _Negate):
-            lo, hi = col_interval(e.operand)
-            return -hi, -lo
-        if isinstance(e, _BinaryOp):
-            a_lo, a_hi = col_interval(e.left)
-            b_lo, b_hi = col_interval(e.right)
-            if e.op == "+":
-                return a_lo + b_lo, a_hi + b_hi
-            if e.op == "-":
-                return a_lo - b_hi, a_hi - b_lo
-            if e.op == "*":
-                prods = np.stack([a_lo * b_lo, a_lo * b_hi,
-                                  a_hi * b_lo, a_hi * b_hi])
-                return prods.min(axis=0), prods.max(axis=0)
-            if e.op == "/":
-                crosses = (b_lo <= 0) & (b_hi >= 0)
-                sb_lo = np.where(crosses, 1.0, b_lo)
-                sb_hi = np.where(crosses, 1.0, b_hi)
-                qs = np.stack([a_lo / sb_lo, a_lo / sb_hi,
-                               a_hi / sb_lo, a_hi / sb_hi])
-                return (np.where(crosses, -np.inf, qs.min(axis=0)),
-                        np.where(crosses, np.inf, qs.max(axis=0)))
-        return (np.full(num_groups, -np.inf), np.full(num_groups, np.inf))
-
-    def tri(e):
-        if isinstance(e, _Comparison):
-            a_lo, a_hi = col_interval(e.left)
-            b_lo, b_hi = col_interval(e.right)
-            return _tri_compare(e.op, a_lo, a_hi, b_lo, b_hi)
-        if isinstance(e, _BooleanOp):
-            if e.op == "NOT":
-                return (TRI_TRUE - tri(e.operands[0]) + TRI_FALSE).astype(
-                    np.int8
-                )
-            parts = [tri(o) for o in e.operands]
-            out = parts[0]
-            for part in parts[1:]:
-                out = (np.minimum(out, part) if e.op == "AND"
-                       else np.maximum(out, part))
-            return out.astype(np.int8)
-        if isinstance(e, _Between):
-            return np.minimum(
-                tri(_Comparison("<=", e.low, e.value)),
-                tri(_Comparison("<=", e.value, e.high)),
-            ).astype(np.int8)
-        # Fallback: point evaluation decides, uncertainty ignored — make
-        # it conservative instead.
-        return np.full(num_groups, TRI_UNKNOWN, dtype=np.int8)
-
-    return tri(expr)

@@ -25,8 +25,6 @@ from .prune import (
     ColumnZones,
     ZoneMapIndex,
     chunk_decisions,
-    chunk_keep,
-    match_uncertain_comparison,
     pruned_filter_mask,
 )
 
@@ -40,13 +38,11 @@ __all__ = [
     "ProjectionStore",
     "ZoneMapIndex",
     "chunk_decisions",
-    "chunk_keep",
     "compute_zones",
     "convert_table",
     "decode_column",
     "encode_column",
     "is_dataset_dir",
-    "match_uncertain_comparison",
     "open_dataset",
     "projection_key",
     "pruned_filter_mask",

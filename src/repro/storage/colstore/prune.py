@@ -1,48 +1,41 @@
-"""Zone-map pruning: skip chunks a predicate provably rejects.
+"""Zone-map pruning: decide whole chunks from their zone maps.
 
-Two consumers:
+A partition's zone maps hold each column's per-chunk ``[min, max]``
+over its non-null rows, so a :class:`ZoneMapIndex` is a table with one
+*ranged* row per chunk.  Both consumers hand it, conjunct by conjunct,
+to the classifier's one interval walk (``repro.core.classify``, via
+``IntervalEnv.ranged``).  Every row value lies inside its chunk's
+range and the walk's verdicts are monotone under interval containment,
+so a TRUE/FALSE chunk verdict holds for every non-null row of the
+chunk.  Literals keep their dtype, so string zone maps prune too.
 
-* the certain-filter hooks (``engine.operators.run_filter`` and the
-  delta pipeline's certain steps) use :func:`pruned_filter_mask`, which
-  evaluates the predicate only on chunks its zone maps cannot rule out
-  and scatters ``False`` for the rest — the resulting mask is
-  *identical* to a full ``evaluate_mask`` because every comparison is
-  row-local and NaN rows compare ``False`` under numpy semantics for
-  ``< <= > >= =`` (``!=`` is the exception: NaN ``!=`` c is ``True``,
-  so those chunks only prune when the zone map records zero nulls);
+NaN rows lie outside every range, and one rule covers them: a chunk
+with nulls is decided only when its verdict agrees with the conjunct's
+verdict on a single all-NaN row, computed by the consumer's own
+evaluator; an all-null chunk takes the NaN-row verdict; and a conjunct
+over several columns leaves every null-bearing chunk undecided.
 
-* the delta controller's uncertain-set re-evaluation uses
-  :func:`match_uncertain_comparison` + :func:`chunk_decisions` to
-  resolve whole chunks of the tri-state classification against a
-  row-constant slot interval without evaluating per-row intervals.
+* :func:`pruned_filter_mask` (certain filters) evaluates the predicate
+  only on chunks not proven FALSE and scatters ``False`` for the rest.
+  Chunks proven TRUE are still evaluated row by row, so the mask is
+  identical to a full ``evaluate_mask``.
+* :func:`chunk_decisions` (the delta controller's uncertain-set
+  classification) returns per-chunk tri-state verdicts; the controller
+  fills decided chunks wholesale and classifies only the rest per row.
 
-This module deliberately avoids importing :mod:`repro.core` (which
-would cycle back through the controller into this package); it defines
-its own tri-state codes, pinned to ``repro.core.uncertain``'s by a
-unit test.
+``repro.core`` imports this module, so its names are imported
+function-locally here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...expr.expressions import (
-    ColumnRef,
-    Comparison,
-    Literal,
-    conjuncts,
-    evaluate_mask,
-)
-
-# Tri-state codes; must match repro.core.uncertain (asserted in tests).
-TRI_FALSE = np.int8(0)
-TRI_UNKNOWN = np.int8(1)
-TRI_TRUE = np.int8(2)
-
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+from ...expr.expressions import conjuncts, evaluate_mask
+from ..table import ArrayTable
 
 
 @dataclass
@@ -78,87 +71,79 @@ class ZoneMapIndex:
         return np.repeat(keep, self.chunk_rows)[: self.num_rows]
 
 
-def _literal_value(expr):
-    """The python constant of a Literal, or None when not a literal."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, (int, float, str, np.integer, np.floating)):
-            return value
-    return None
+def _bounds(cz: ColumnZones, values: List[object],
+            valid: np.ndarray) -> np.ndarray:
+    """One chunk bound per valid chunk, in the walk's dtype."""
+    dtype = object if cz.ctype == "string" else np.float64
+    return np.array([v for v, ok in zip(values, valid) if ok], dtype=dtype)
 
 
-def _match_filter_conjunct(expr) -> Optional[Tuple[str, str, object]]:
-    """Match ``col op literal`` (either side) -> (name, op, const)."""
-    if not isinstance(expr, Comparison):
-        return None
-    left, right = expr.left, expr.right
-    if isinstance(left, ColumnRef):
-        const = _literal_value(right)
-        if const is not None:
-            return left.name, expr.op, const
-    if isinstance(right, ColumnRef):
-        const = _literal_value(left)
-        if const is not None:
-            return right.name, _FLIP[expr.op], const
-    return None
+def _exact_in_walk(cz: ColumnZones) -> bool:
+    """The walk runs on float64, which holds int64 bounds exactly only
+    up to 2**53; past that, ``x < c`` could round to ``x == c``."""
+    return cz.ctype != "int64" or all(
+        abs(v) <= 2 ** 53 for v in cz.lows + cz.highs
+    )
 
 
-def _const_matches_type(const, ctype: str) -> bool:
-    if ctype == "string":
-        return isinstance(const, str)
-    if ctype in ("int64", "float64", "bool"):
-        return isinstance(const, (int, float, np.integer, np.floating))
-    return False
+def _zone_verdicts(parts: Sequence, zones: ZoneMapIndex, env,
+                   nan_verdict: Callable) -> Optional[np.ndarray]:
+    """Per-chunk Kleene AND of ``parts``' verdicts over the zone maps.
 
-
-def _chunk_false(op: str, lo, hi, nulls: int, const) -> bool:
-    """True when zone stats prove every row of the chunk fails ``op``.
-
-    ``lo``/``hi`` are the chunk min/max with NaN excluded; ``lo is
-    None`` means the chunk is all-null.  NaN rows evaluate ``False``
-    under every numpy comparison except ``!=``.
+    ``env`` is the consumer's IntervalEnv; ``nan_verdict(conjunct, row,
+    env)`` is its verdict on a one-row table.  A conjunct the zone maps
+    cannot speak for counts as UNKNOWN; None when that is every one.
     """
-    if op == "!=":
-        # NaN != const is True, so null-bearing chunks never prune.
-        return nulls == 0 and lo is not None and lo == hi == const
-    if lo is None:  # all-null: every comparison row is False
-        return True
-    if op == "<":
-        return lo >= const
-    if op == "<=":
-        return lo > const
-    if op == ">":
-        return hi <= const
-    if op == ">=":
-        return hi < const
-    if op == "=":
-        return const < lo or const > hi
-    return False
+    from ...core.classify import tri_eval_ranged
+    from ...core.uncertain import TRI_UNKNOWN
 
-
-def chunk_keep(predicate, zones: ZoneMapIndex) -> Optional[np.ndarray]:
-    """Per-chunk keep mask for a certain filter, or None if no conjunct
-    of ``predicate`` has a usable ``col op literal`` shape."""
-    if zones.num_chunks == 0:
+    if not zones.num_chunks:
         return None
-    keep: Optional[np.ndarray] = None
-    for conjunct in conjuncts(predicate):
-        matched = _match_filter_conjunct(conjunct)
-        if matched is None:
+    out: Optional[np.ndarray] = None
+    skipped = False
+    for conjunct in parts:
+        names = sorted(conjunct.references())
+        cols = [zones.columns.get(name) for name in names]
+        if not names or None in cols or not all(map(_exact_in_walk, cols)):
+            skipped = True
             continue
-        name, op, const = matched
-        cz = zones.columns.get(name)
-        if cz is None or not _const_matches_type(const, cz.ctype):
-            continue
-        this = np.array([
-            not _chunk_false(op, cz.lows[c], cz.highs[c],
-                             int(cz.nulls[c]), const)
-            for c in range(zones.num_chunks)
-        ], dtype=bool)
-        keep = this if keep is None else (keep & this)
-    return keep
+        valid = np.ones(zones.num_chunks, dtype=bool)
+        for cz in cols:
+            valid &= np.array([lo is not None for lo in cz.lows])
+        ranged = {
+            name: (_bounds(cz, cz.lows, valid), _bounds(cz, cz.highs, valid))
+            for name, cz in zip(names, cols)
+        }
+        verdict = np.full(zones.num_chunks, TRI_UNKNOWN, dtype=np.int8)
+        verdict[valid] = tri_eval_ranged(
+            conjunct, ArrayTable({}, int(valid.sum())),
+            replace(env, ranged=ranged),
+        )
+        nulls = sum(cz.nulls for cz in cols) > 0
+        if len(names) == 1 and nulls.any():
+            nan_row = ArrayTable({names[0]: np.array([np.nan])}, 1)
+            nan = nan_verdict(conjunct, nan_row, env)
+            verdict[~valid] = nan
+            verdict[nulls & (verdict != nan)] = TRI_UNKNOWN
+        else:
+            verdict[nulls] = TRI_UNKNOWN
+        out = verdict if out is None else np.minimum(out, verdict)
+    if out is not None and skipped:
+        out = np.minimum(out, TRI_UNKNOWN)
+    return out
+
+
+def _point_verdict(conjunct, row, env):
+    from ...core.uncertain import TRI_FALSE, TRI_TRUE
+
+    return TRI_TRUE if evaluate_mask(conjunct, row, env.point)[0] \
+        else TRI_FALSE
+
+
+def _tri_verdict(conjunct, row, env):
+    from ...core.classify import tri_eval_ranged
+
+    return tri_eval_ranged(conjunct, row, env)[0]
 
 
 def pruned_filter_mask(predicate, table, env,
@@ -167,15 +152,23 @@ def pruned_filter_mask(predicate, table, env,
 
     Chunks whose zone maps prove the predicate false contribute
     ``False`` rows directly; the predicate is evaluated only on the
-    surviving rows (every expression is row-local, so evaluating on the
+    other rows (every expression is row-local, so evaluating on the
     gathered sub-table matches evaluating in place).
     """
-    keep = None
+    from ...core.classify import IntervalEnv
+    from ...core.uncertain import TRI_FALSE
+
+    verdicts = None
     if zones.num_rows == table.num_rows:
-        keep = chunk_keep(predicate, zones)
-    if keep is None or keep.all():
+        # Slot-bearing conjuncts (bound subqueries in batch plans) have
+        # no slot states here; they are left to the row pass.
+        parts = [c for c in conjuncts(predicate) if not c.subquery_slots()]
+        verdicts = _zone_verdicts(parts, zones, IntervalEnv(point=env),
+                                  _point_verdict)
+    if verdicts is None or not (verdicts == TRI_FALSE).any():
         return np.asarray(evaluate_mask(predicate, table, env),
                           dtype=bool), 0
+    keep = verdicts != TRI_FALSE
     pruned = int((~keep).sum())
     mask = np.zeros(table.num_rows, dtype=bool)
     rows_keep = zones.row_mask_for_chunks(keep)
@@ -188,95 +181,12 @@ def pruned_filter_mask(predicate, table, env,
     return mask, pruned
 
 
-def match_uncertain_comparison(predicate):
-    """Match an uncertain predicate ``col op <row-constant slot expr>``.
+def chunk_decisions(predicate, zones: ZoneMapIndex,
+                    env) -> Optional[np.ndarray]:
+    """Per-chunk tri-state verdicts of an uncertain predicate.
 
-    Returns ``(column_name, op, uncertain_side)`` with ``op`` oriented
-    as ``col op slot``, or None.  The uncertain side must be
-    row-constant: it may carry subquery slots but reference no columns
-    of the lineage table (correlated subqueries reference columns and
-    are rejected).  The column side must be a bare numeric ColumnRef —
-    its per-row interval is the degenerate ``[v, v]``, which the chunk
-    interval ``[min, max]`` contains, making chunk-level tri-state
-    decisions sound for every row of the chunk.
+    ``env`` is the controller's IntervalEnv (slot states and point
+    bindings).  TRI_UNKNOWN marks an undecided chunk; None means no
+    conjunct could consult the zone maps.
     """
-    if not isinstance(predicate, Comparison):
-        return None
-    left, right = predicate.left, predicate.right
-    left_slots = bool(left.subquery_slots())
-    right_slots = bool(right.subquery_slots())
-    if left_slots == right_slots:
-        return None
-    if left_slots:
-        col_side, unc_side, op = right, left, _FLIP[predicate.op]
-    else:
-        col_side, unc_side, op = left, right, predicate.op
-    if not isinstance(col_side, ColumnRef):
-        return None
-    if unc_side.references():
-        return None
-    return col_side.name, op, unc_side
-
-
-def _tri_compare_interval(op: str, a_lo: float, a_hi: float,
-                          b_lo: float, b_hi: float) -> np.int8:
-    """Interval comparison with core.classify._tri_compare semantics.
-
-    ``[a_lo, a_hi]`` is the chunk's value interval, ``[b_lo, b_hi]``
-    the slot's variation range.  Because every row value ``v`` gives a
-    degenerate interval ``[v, v] ⊆ [a_lo, a_hi]`` and these decision
-    rules are monotone under interval containment, a TRUE/FALSE verdict
-    here implies the same verdict for every row of the chunk.
-    """
-    if op == "<":
-        if a_hi < b_lo:
-            return TRI_TRUE
-        if a_lo >= b_hi:
-            return TRI_FALSE
-    elif op == "<=":
-        if a_hi <= b_lo:
-            return TRI_TRUE
-        if a_lo > b_hi:
-            return TRI_FALSE
-    elif op == ">":
-        if a_lo > b_hi:
-            return TRI_TRUE
-        if a_hi <= b_lo:
-            return TRI_FALSE
-    elif op == ">=":
-        if a_lo >= b_hi:
-            return TRI_TRUE
-        if a_hi < b_lo:
-            return TRI_FALSE
-    elif op == "=":
-        if a_lo > b_hi or a_hi < b_lo:
-            return TRI_FALSE
-        if a_lo == a_hi == b_lo == b_hi:
-            return TRI_TRUE
-    elif op == "!=":
-        if a_lo > b_hi or a_hi < b_lo:
-            return TRI_TRUE
-        if a_lo == a_hi == b_lo == b_hi:
-            return TRI_FALSE
-    return TRI_UNKNOWN
-
-
-def chunk_decisions(zones: ZoneMapIndex, column: str, op: str,
-                    lo: float, hi: float) -> Optional[np.ndarray]:
-    """Per-chunk tri-state decisions for ``col op [lo, hi]``.
-
-    None when the column has no numeric zone maps.  Chunks containing
-    NaN rows stay TRI_UNKNOWN (a NaN row is individually unknown to the
-    interval comparison, never decidable at chunk granularity).
-    """
-    cz = zones.columns.get(column)
-    if cz is None or cz.ctype not in ("int64", "float64"):
-        return None
-    out = np.full(zones.num_chunks, TRI_UNKNOWN, dtype=np.int8)
-    for c in range(zones.num_chunks):
-        if int(cz.nulls[c]) or cz.lows[c] is None:
-            continue
-        out[c] = _tri_compare_interval(
-            op, float(cz.lows[c]), float(cz.highs[c]), lo, hi
-        )
-    return out
+    return _zone_verdicts(conjuncts(predicate), zones, env, _tri_verdict)

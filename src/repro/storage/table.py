@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from ..errors import SchemaError
+from ..errors import ExecutionError, SchemaError
 
 
 class ColumnType(enum.Enum):
@@ -366,3 +366,16 @@ class Table:
         if self._num_rows > n:
             lines.append(f"... ({self._num_rows} rows)")
         return "\n".join(lines)
+
+
+class ArrayTable:
+    """Minimal table adapter over plain 1-D arrays for point evaluation."""
+
+    def __init__(self, columns: Mapping[str, np.ndarray], num_rows: int):
+        self._columns = columns
+        self.num_rows = num_rows
+
+    def column(self, name: str) -> np.ndarray:
+        if name not in self._columns:
+            raise ExecutionError(f"unknown column {name!r}")
+        return self._columns[name]

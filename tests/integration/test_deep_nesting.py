@@ -22,6 +22,8 @@ def session():
         "x": rng.normal(100.0, 25.0, n),
         "y": rng.exponential(10.0, n),
         "z": rng.uniform(0.0, 1.0, n),
+        "name": np.array([f"n{v}" for v in rng.integers(0, 8, n)],
+                         dtype=object),
     }))
     return s
 
@@ -80,6 +82,26 @@ class TestThreeLevels:
             WHERE k IN (SELECT k FROM t
                         WHERE x > (SELECT AVG(x) FROM t)
                         GROUP BY k HAVING SUM(y) > 500)
+        """)
+
+
+class TestHavingMembership:
+    """IN-subqueries whose HAVING mixes certain and uncertain terms."""
+
+    def test_string_group_key_in_having(self, session):
+        check(session, """
+            SELECT COUNT(*), AVG(x) FROM t
+            WHERE name IN (SELECT name FROM t GROUP BY name
+                           HAVING name <> 'n1' AND SUM(y) > 1000)
+        """)
+
+    def test_case_and_sqrt_in_having(self, session):
+        check(session, """
+            SELECT COUNT(*), SUM(y) FROM t
+            WHERE k IN (SELECT k FROM t GROUP BY k
+                        HAVING SQRT(SUM(y)) > 86
+                           AND CASE WHEN AVG(x) > 100 THEN SUM(y)
+                                    ELSE 0 END < 7800)
         """)
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.uncertain import TRI_FALSE, TRI_TRUE, TRI_UNKNOWN
+from repro.core.classify import IntervalEnv, tri_eval
+from repro.core.uncertain import TRI_UNKNOWN, ScalarSlotState
+from repro.estimate.variation import VariationRange
 from repro.expr.expressions import (
     BinaryOp,
     BooleanOp,
@@ -11,17 +13,13 @@ from repro.expr.expressions import (
     Comparison,
     Environment,
     Literal,
+    SubqueryRef,
     evaluate_mask,
 )
 from repro.storage import Table
 from repro.storage.colstore import write_partition
 from repro.storage.colstore.format import PartitionReader
-from repro.storage.colstore import prune as prune_mod
-from repro.storage.colstore.prune import (
-    chunk_decisions,
-    chunk_keep,
-    pruned_filter_mask,
-)
+from repro.storage.colstore.prune import chunk_decisions, pruned_filter_mask
 
 OPS = ("<", "<=", ">", ">=", "=", "!=")
 
@@ -45,11 +43,25 @@ def table():
     })
 
 
-class TestTriConstants:
-    def test_match_core_uncertain(self):
-        assert prune_mod.TRI_FALSE == TRI_FALSE
-        assert prune_mod.TRI_UNKNOWN == TRI_UNKNOWN
-        assert prune_mod.TRI_TRUE == TRI_TRUE
+def slot_env(lo: float, hi: float) -> IntervalEnv:
+    """Slot 0's variation range is ``[lo, hi]``."""
+    state = ScalarSlotState(
+        slot=0, estimate=(lo + hi) / 2.0,
+        replicas=np.array([lo, hi]),
+        vrange=VariationRange(lo, hi),
+    )
+    return IntervalEnv(slots={0: state})
+
+
+def assert_decisions_sound(predicate, table, zones, env, chunk_rows=64):
+    """Every decided chunk's verdict is each of its rows' tri_eval."""
+    decisions = chunk_decisions(predicate, zones, env)
+    per_row = tri_eval(predicate, table, env)
+    if decisions is not None:
+        for c in np.flatnonzero(decisions != TRI_UNKNOWN):
+            rows = per_row[c * chunk_rows:(c + 1) * chunk_rows]
+            assert (rows == decisions[c]).all(), (predicate.sql(), c)
+    return decisions
 
 
 class TestCertainFilterPruning:
@@ -104,6 +116,39 @@ class TestCertainFilterPruning:
                                  dtype=bool)
             )
 
+    def test_all_null_chunks_take_nan_row_verdict(self, table, tmp_path):
+        zones = zones_for(table, 64, tmp_path)
+        all_null = sum(lo is None for lo in zones.columns["f"].lows)
+        assert all_null > 0
+        env = Environment()
+        # NaN < c is False: all-NaN chunks prune with the rest.
+        below = Comparison("<", ColumnRef("f"), Literal(1e9))
+        assert pruned_filter_mask(below, table, env, zones)[1] == all_null
+        # NOT (NaN > c) is True: no chunk holding NaN may prune.
+        not_above = BooleanOp("NOT", [
+            Comparison(">", ColumnRef("f"), Literal(1e9)),
+        ])
+        mask, pruned = pruned_filter_mask(not_above, table, env, zones)
+        assert pruned == 0
+        np.testing.assert_array_equal(
+            mask, evaluate_mask(not_above, table, env)
+        )
+
+    def test_large_int64_bounds_stay_exact(self, tmp_path):
+        # 2**60 and 2**60 + 1 are one float64: the float walk must not
+        # decide `x < 2**60 + 1` false for a chunk holding 2**60.
+        big = Table.from_columns({
+            "x": np.full(128, 2 ** 60, dtype=np.int64),
+        })
+        zones = zones_for(big, 64, tmp_path)
+        env = Environment()
+        for op in OPS:
+            predicate = Comparison(op, ColumnRef("x"), Literal(2 ** 60 + 1))
+            mask, _ = pruned_filter_mask(predicate, big, env, zones)
+            np.testing.assert_array_equal(
+                mask, evaluate_mask(predicate, big, env)
+            )
+
     def test_string_predicate_not_pruned_but_exact(self, table, tmp_path):
         zones = zones_for(table, 64, tmp_path)
         predicate = Comparison("=", ColumnRef("s"), Literal("k3"))
@@ -113,6 +158,21 @@ class TestCertainFilterPruning:
             mask, np.asarray(evaluate_mask(predicate, table, env),
                              dtype=bool)
         )
+
+    def test_sorted_string_column_prunes(self, table, tmp_path):
+        # Literals keep their dtype, so string zone maps decide chunks.
+        ordered = Table.from_columns({
+            "s": np.array(sorted(table.column("s")), dtype=object),
+        })
+        zones = zones_for(ordered, 64, tmp_path)
+        env = Environment()
+        for op in ("=", "<", ">="):
+            predicate = Comparison(op, ColumnRef("s"), Literal("k3"))
+            mask, pruned = pruned_filter_mask(predicate, ordered, env, zones)
+            assert pruned > 0
+            np.testing.assert_array_equal(
+                mask, evaluate_mask(predicate, ordered, env)
+            )
 
     def test_row_count_mismatch_disables_pruning(self, table, tmp_path):
         zones = zones_for(table, 64, tmp_path)
@@ -124,75 +184,103 @@ class TestCertainFilterPruning:
         assert pruned == 0
         assert mask.shape == (100,)
 
-    def test_chunk_keep_none_for_unusable_predicate(self, table,
-                                                    tmp_path):
+    def test_unusable_predicate_prunes_nothing(self, table, tmp_path):
         zones = zones_for(table, 64, tmp_path)
-        # column-vs-column comparison has no literal side
-        predicate = Comparison("<", ColumnRef("i"), ColumnRef("f"))
-        assert chunk_keep(predicate, zones) is None
+        # a column without zone maps leaves every chunk to the row pass
+        predicate = Comparison("<", ColumnRef("i"), ColumnRef("other"))
+        extended = Table.from_columns({
+            **{n: table.column(n) for n in table.schema.names},
+            "other": np.zeros(table.num_rows),
+        })
+        env = Environment()
+        mask, pruned = pruned_filter_mask(predicate, extended, env, zones)
+        assert pruned == 0
+        np.testing.assert_array_equal(
+            mask, evaluate_mask(predicate, extended, env)
+        )
+
+    def test_column_vs_column_predicate_exact(self, table, tmp_path):
+        # Two ranged columns: decided chunks only where neither has NaN.
+        zones = zones_for(table, 64, tmp_path)
+        env = Environment()
+        for op in OPS:
+            predicate = Comparison(op, ColumnRef("i"), ColumnRef("f"))
+            mask, _ = pruned_filter_mask(predicate, table, env, zones)
+            np.testing.assert_array_equal(
+                mask, evaluate_mask(predicate, table, env)
+            )
 
 
 class TestChunkTriDecisions:
     @pytest.mark.parametrize("op", OPS)
     def test_decisions_match_per_row_tri_eval(self, table, tmp_path, op):
-        from repro.core.classify import IntervalEnv, tri_eval
-        from repro.core.uncertain import ScalarSlotState
-        from repro.estimate.variation import VariationRange
-        from repro.expr.expressions import SubqueryRef
-
         zones = zones_for(table, 64, tmp_path)
         for lo, hi in ((25.0, 30.0), (49.9, 50.1), (-1e9, 1e9)):
-            decisions = chunk_decisions(zones, "f", op, lo, hi)
-            assert decisions is not None
             # A slot-bearing predicate whose variation range is
             # [lo, hi]: col op <subquery#0>.
             predicate = Comparison(op, ColumnRef("f"), SubqueryRef(0))
-            state = ScalarSlotState(
-                slot=0, estimate=(lo + hi) / 2.0,
-                replicas=np.array([lo, hi]),
-                vrange=VariationRange(lo, hi),
+            decisions = assert_decisions_sound(
+                predicate, table, zones, slot_env(lo, hi)
             )
-            env = IntervalEnv(slots={0: state})
-            per_row = tri_eval(predicate, table, env)
-            for c in range(zones.num_chunks):
-                if decisions[c] == TRI_UNKNOWN:
-                    continue
-                rows = per_row[c * 64:(c + 1) * 64]
-                assert (rows == decisions[c]).all(), (op, lo, hi, c)
+            assert decisions is not None
 
-    def test_string_column_returns_none(self, table, tmp_path):
+    def test_string_column_never_decided(self, table, tmp_path):
         zones = zones_for(table, 64, tmp_path)
-        assert chunk_decisions(zones, "s", "<", 0.0, 1.0) is None
-        assert chunk_decisions(zones, "missing", "<", 0.0, 1.0) is None
+        env = slot_env(0.0, 1.0)
+        decisions = chunk_decisions(
+            Comparison("<", ColumnRef("s"), SubqueryRef(0)), zones, env
+        )
+        assert (decisions == TRI_UNKNOWN).all()
+        assert chunk_decisions(
+            Comparison("<", ColumnRef("missing"), SubqueryRef(0)),
+            zones, env,
+        ) is None
 
 
 class TestUncertainMatching:
-    def test_scalar_subquery_matches(self):
-        from repro.expr.expressions import SubqueryRef
-        from repro.storage.colstore.prune import match_uncertain_comparison
-
-        pred = Comparison(">", ColumnRef("x3"), SubqueryRef(0))
-        assert match_uncertain_comparison(pred)[:2] == ("x3", ">")
-        # flipped operand order flips the operator
-        pred = Comparison(">", SubqueryRef(0), ColumnRef("x3"))
-        assert match_uncertain_comparison(pred)[:2] == ("x3", "<")
-
-    def test_correlated_subquery_rejected(self):
-        from repro.expr.expressions import SubqueryRef
-        from repro.storage.colstore.prune import match_uncertain_comparison
-
-        pred = Comparison(
-            ">", ColumnRef("x3"),
-            SubqueryRef(0, correlation=ColumnRef("k1")),
+    def test_scalar_subquery_matches(self, table, tmp_path):
+        zones = zones_for(table, 64, tmp_path)
+        env = slot_env(40.0, 45.0)
+        forward = assert_decisions_sound(
+            Comparison(">", ColumnRef("i"), SubqueryRef(0)),
+            table, zones, env,
         )
-        assert match_uncertain_comparison(pred) is None
+        # flipped operand order flips the operator
+        flipped = assert_decisions_sound(
+            Comparison("<", SubqueryRef(0), ColumnRef("i")),
+            table, zones, env,
+        )
+        assert (forward != TRI_UNKNOWN).any()
+        np.testing.assert_array_equal(forward, flipped)
 
-    def test_non_column_side_rejected(self):
-        from repro.expr.expressions import SubqueryRef
-        from repro.storage.colstore.prune import match_uncertain_comparison
+    def test_correlated_subquery_rejected(self, table, tmp_path):
+        from repro.core.uncertain import KeyedSlotState
+        from repro.engine.aggregates import GroupIndex
 
+        zones = zones_for(table, 64, tmp_path)
+        index = GroupIndex()
+        index.encode(np.arange(100))
+        state = KeyedSlotState(
+            slot=0, index=index, estimates=np.full(100, 50.0),
+            replicas=np.full((100, 2), 50.0), lows=np.full(100, 49.0),
+            highs=np.full(100, 51.0), present=np.ones(100, dtype=bool),
+        )
         pred = Comparison(
-            ">", BinaryOp("+", ColumnRef("x3"), Literal(1.0)),
+            ">", ColumnRef("f"),
+            SubqueryRef(0, correlation=ColumnRef("i")),
+        )
+        decisions = assert_decisions_sound(
+            pred, table, zones, IntervalEnv(slots={0: state})
+        )
+        assert (decisions == TRI_UNKNOWN).all()
+
+    def test_non_column_side_decided(self, table, tmp_path):
+        zones = zones_for(table, 64, tmp_path)
+        pred = Comparison(
+            ">", BinaryOp("+", ColumnRef("i"), Literal(1.0)),
             SubqueryRef(0),
         )
-        assert match_uncertain_comparison(pred) is None
+        decisions = assert_decisions_sound(
+            pred, table, zones, slot_env(40.0, 45.0)
+        )
+        assert (decisions != TRI_UNKNOWN).any()
